@@ -285,11 +285,37 @@ let compare_scenario ~traffic ~seed =
   }
 
 (* Simulation-level comparison: all baselines sound on random executions,
-   and never tighter than the optimal algorithm at the end of the run. *)
+   and never tighter than the optimal algorithm at the end of the run.
+   The last input crashes and restarts nodes: a revived node restarts
+   every baseline from scratch around its restored CSA, and must keep
+   sampling every algorithm after it comes back. *)
 let test_baselines_sound_and_suboptimal () =
+  let poll = Scenario.Ntp_poll { period = Scenario.sec 1 } in
   List.iteri
-    (fun i traffic ->
-      let r = Engine.run (compare_scenario ~traffic ~seed:(100 + i)) in
+    (fun i (traffic, crashes) ->
+      let scenario = compare_scenario ~traffic ~seed:(100 + i) in
+      let faults =
+        if crashes = 0 then []
+        else
+          Fault.Chaos.schedule ~seed:7 ~nodes:5
+            ~duration:scenario.Scenario.duration ~cycles:crashes ()
+      in
+      let recovered = ref [] and last_sample = Hashtbl.create 16 in
+      let sink =
+        Trace.callback (function
+          | Trace.Recover { t; node } -> recovered := (node, t) :: !recovered
+          | Trace.Estimate { t; node; algo; _ } ->
+            Hashtbl.replace last_sample (node, algo) t
+          | _ -> ())
+      in
+      let r = Engine.run { scenario with Scenario.faults; trace = sink } in
+      Alcotest.(check int)
+        (Printf.sprintf "every algorithm scored (run %d)" i)
+        6
+        (List.length r.Engine.per_algo);
+      Alcotest.(check int)
+        (Printf.sprintf "recoveries (run %d)" i)
+        crashes (List.length !recovered);
       List.iter
         (fun (name, a) ->
           Alcotest.(check int)
@@ -306,11 +332,26 @@ let test_baselines_sound_and_suboptimal () =
                   Alcotest.failf "optimal wider than %s at node %d (run %d)"
                     name node i)
               a.Engine.final_widths)
-        r.Engine.per_algo)
+        r.Engine.per_algo;
+      List.iter
+        (fun (node, t) ->
+          List.iter
+            (fun (algo, _) ->
+              match Hashtbl.find_opt last_sample (node, algo) with
+              | Some last when last > t -> ()
+              | _ ->
+                Alcotest.failf
+                  "node %d stopped sampling %s after recovering at %g (run %d)"
+                  node algo t i)
+            r.Engine.per_algo)
+        !recovered)
     [
-      Scenario.Ntp_poll { period = Scenario.sec 1 };
-      Scenario.Gossip { mean_gap = Scenario.ms 500 };
-      Scenario.Burst { check_period = Scenario.sec 1; width_target = Scenario.ms 8 };
+      (poll, 0);
+      (Scenario.Gossip { mean_gap = Scenario.ms 500 }, 0);
+      ( Scenario.Burst
+          { check_period = Scenario.sec 1; width_target = Scenario.ms 8 },
+        0 );
+      (poll, 2);
     ]
 
 let test_driftfree_soundness_in_sim () =
