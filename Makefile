@@ -4,7 +4,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test bench-smoke bench-guard analyze-smoke net-smoke crash-smoke hub-smoke hub-crash-smoke tournament-smoke check fmt fmt-check apalache clean
+.PHONY: all build test bench-smoke bench-guard analyze-smoke net-smoke crash-smoke hub-smoke hub-crash-smoke tournament-smoke perfbench-smoke check fmt fmt-check apalache clean
 
 all: build
 
@@ -66,6 +66,21 @@ hub-crash-smoke: build
 # trace must re-analyze clean (see scripts/tournament_smoke.sh)
 tournament-smoke: build
 	sh scripts/tournament_smoke.sh
+
+# one-second traced run of each repo-benchmark workload (BENCHMARK.json):
+# perfbench/main.exe exits nonzero unless every client stays sound, no
+# operation fails and the timed and traced passes agree on their
+# deterministic counts (the report is printed, the JSON result line is not)
+PERFBENCH_WORKLOADS = hub-k128 hub-lossy-k32 sim-star8
+
+perfbench-smoke: build
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	    --trace 1 >_build/perfbench_smoke.out; rc=$$?; \
+	  grep -v '^{' _build/perfbench_smoke.out; \
+	  [ $$rc -eq 0 ] || exit 1; \
+	done
+	@echo "perfbench-smoke: OK"
 
 check: build test bench-smoke bench-guard analyze-smoke tournament-smoke hub-smoke
 	@echo "check: OK"

@@ -6,7 +6,7 @@
 
    Examples:
      clocksync run --topology star --nodes 6 --traffic poll --duration 30
-     clocksync run --topology ntp:3x3 --ntp --driftfree --loss 0.2
+     clocksync run --topology ntp:3x3 --baselines ntp,driftfree --loss 0.2
      clocksync sweep --param drift --values 10,100,1000 --traffic poll *)
 
 open Cmdliner
@@ -53,27 +53,28 @@ let parse_traffic s ~period =
   | _ -> Error (`Msg "unknown traffic (poll|gossip|token|burst)")
 
 let build_scenario ~topology ~nodes ~traffic ~duration ~drift_ppm ~lo_ms ~hi_ms
-    ~period_s ~loss ~seed ~ntp ~cristian ~driftfree ~validate =
-  Result.bind (parse_topology topology ~nodes) (fun (n, links) ->
-      let spec =
-        System_spec.uniform ~n ~source:0 ~drift:(Drift.of_ppm drift_ppm)
-          ~transit:(Transit.of_q (Scenario.ms lo_ms) (Scenario.ms hi_ms))
-          ~links
-      in
-      let period = Q.of_ints (int_of_float (period_s *. 1000.)) 1000 in
-      Result.map
-        (fun traffic ->
-          {
-            (Scenario.default ~spec ~traffic) with
-            Scenario.duration = Scenario.sec duration;
-            seed;
-            loss_prob = loss;
-            run_ntp = ntp;
-            run_cristian = cristian;
-            run_driftfree = driftfree;
-            validate;
-          })
-        (parse_traffic traffic ~period))
+    ~period_s ~loss ~seed ~baselines ~validate =
+  match Tourney.check_algos ("optimal" :: baselines) with
+  | Error m -> Error (`Msg m)
+  | Ok () ->
+    Result.bind (parse_topology topology ~nodes) (fun (n, links) ->
+        let spec =
+          System_spec.uniform ~n ~source:0 ~drift:(Drift.of_ppm drift_ppm)
+            ~transit:(Transit.of_q (Scenario.ms lo_ms) (Scenario.ms hi_ms))
+            ~links
+        in
+        let period = Q.of_ints (int_of_float (period_s *. 1000.)) 1000 in
+        Result.map
+          (fun traffic ->
+            {
+              (Scenario.default ~spec ~traffic) with
+              Scenario.duration = Scenario.sec duration;
+              seed;
+              loss_prob = loss;
+              baselines = Baseline.select baselines;
+              validate;
+            })
+          (parse_traffic traffic ~period))
 
 let print_result r =
   Format.printf "simulated %s time units; %d messages (%d lost); %d events@.@."
@@ -161,15 +162,13 @@ let loss =
 
 let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
 
-let ntp_flag =
-  Arg.(value & flag & info [ "ntp" ] ~doc:"Also run the NTP-style baseline.")
-
-let cristian_flag =
-  Arg.(value & flag & info [ "cristian" ] ~doc:"Also run Cristian's baseline.")
-
-let driftfree_flag =
-  Arg.(value & flag & info [ "driftfree" ]
-         ~doc:"Also run the drift-free + fudge baseline.")
+let baselines_opt =
+  Arg.(value & opt (list string) [] & info [ "baselines" ] ~docv:"A1,A2,.."
+         ~doc:(Printf.sprintf
+                 "Comma-separated baselines to run beside the optimal CSA \
+                  on the same messages (%s), with their default \
+                  parameters; reported in that order."
+                 (String.concat "|" (List.map Baseline.name Baseline.all))))
 
 let validate_flag =
   Arg.(value & flag & info [ "validate" ]
@@ -278,10 +277,10 @@ let prof_flag =
 
 let run_cmd =
   let action topology nodes traffic duration drift_ppm lo_ms hi_ms period_s
-      loss seed ntp cristian driftfree validate chaos csv trace profile =
+      loss seed baselines validate chaos csv trace profile =
     match
       build_scenario ~topology ~nodes ~traffic ~duration ~drift_ppm ~lo_ms
-        ~hi_ms ~period_s ~loss ~seed ~ntp ~cristian ~driftfree ~validate
+        ~hi_ms ~period_s ~loss ~seed ~baselines ~validate
     with
     | Error (`Msg m) -> `Error (false, m)
     | Ok scenario when chaos > 0 && validate ->
@@ -324,8 +323,8 @@ let run_cmd =
     Term.(
       ret
         (const action $ topology $ nodes $ traffic $ duration $ drift_ppm
-       $ lo_ms $ hi_ms $ period_s $ loss $ seed $ ntp_flag $ cristian_flag
-       $ driftfree_flag $ validate_flag $ chaos_opt $ csv_prefix $ trace_file
+       $ lo_ms $ hi_ms $ period_s $ loss $ seed $ baselines_opt
+       $ validate_flag $ chaos_opt $ csv_prefix $ trace_file
        $ prof_flag))
   in
   Cmd.v
@@ -344,7 +343,7 @@ let sweep_cmd =
            ~doc:"Comma-separated values for the swept parameter.")
   in
   let action param values topology nodes traffic duration drift_ppm lo_ms hi_ms
-      period_s loss seed ntp cristian driftfree =
+      period_s loss seed baselines =
     let vals = String.split_on_char ',' values in
     let build v =
       let nodes, drift_ppm, loss, period_s =
@@ -356,7 +355,7 @@ let sweep_cmd =
         | _ -> failwith "unknown sweep parameter (drift|nodes|loss|period)"
       in
       build_scenario ~topology ~nodes ~traffic ~duration ~drift_ppm ~lo_ms
-        ~hi_ms ~period_s ~loss ~seed ~ntp ~cristian ~driftfree ~validate:false
+        ~hi_ms ~period_s ~loss ~seed ~baselines ~validate:false
     in
     try
       let rows =
@@ -395,8 +394,7 @@ let sweep_cmd =
     Term.(
       ret
         (const action $ param $ values $ topology $ nodes $ traffic $ duration
-       $ drift_ppm $ lo_ms $ hi_ms $ period_s $ loss $ seed $ ntp_flag
-       $ cristian_flag $ driftfree_flag))
+       $ drift_ppm $ lo_ms $ hi_ms $ period_s $ loss $ seed $ baselines_opt))
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Sweep one parameter and tabulate results.") term
 
@@ -1177,9 +1175,10 @@ let tournament_cmd =
   in
   let algos_opt =
     Arg.(value & opt string "all" & info [ "algos" ] ~docv:"A1,A2,.."
-           ~doc:"Comma-separated algorithms to score \
-                 (optimal|driftfree|ntp|cristian|ftsp|marzullo), or \
-                 $(b,all).  The optimal CSA is always scored.")
+           ~doc:(Printf.sprintf
+                   "Comma-separated algorithms to score (%s), or $(b,all).  \
+                    The optimal CSA is always scored."
+                   (String.concat "|" Tourney.algo_names)))
   in
   let trace_dir_opt =
     Arg.(value & opt (some string) None & info [ "trace-dir" ] ~docv:"DIR"

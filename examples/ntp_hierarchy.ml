@@ -28,9 +28,8 @@ let () =
          ~traffic:(Scenario.Ntp_poll { period = Scenario.sec 4 }))
       with
       Scenario.duration = Scenario.sec 120;
-      run_ntp = true;
-      run_driftfree = true;
-      driftfree_window = Scenario.sec 20;
+      baselines =
+        [ Baseline.driftfree ~window:(Scenario.sec 20); Baseline.ntp ];
       seed = 7;
     }
   in

@@ -24,8 +24,7 @@ let () =
            (Scenario.Burst { check_period = Scenario.sec 2; width_target }))
       with
       Scenario.duration = Scenario.sec 60;
-      run_cristian = true;
-      cristian_rtt = Scenario.ms 8;
+      baselines = [ Baseline.cristian ~rtt_threshold:(Scenario.ms 8) ];
       seed = 3;
     }
   in

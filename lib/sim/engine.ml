@@ -103,13 +103,7 @@ type state = {
 }
 
 let algo_names st =
-  "optimal"
-  ::
-  (if st.scenario.Scenario.run_driftfree then [ Driftfree.name ] else [])
-  @ (if st.scenario.Scenario.run_ntp then [ Ntp.name ] else [])
-  @ (if st.scenario.Scenario.run_cristian then [ Cristian.name ] else [])
-  @ (if st.scenario.Scenario.run_ftsp then [ Ftsp.name ] else [])
-  @ if st.scenario.Scenario.run_marzullo then [ Marzullo.name ] else []
+  "optimal" :: List.map Baseline.name st.scenario.Scenario.baselines
 
 let lt_now st node = Node_rt.lt_at node ~rt:st.now
 let now_f st = Q.to_float st.now
@@ -475,8 +469,8 @@ let burst_check st ~p =
   | Scenario.Burst { check_period; width_target } ->
     let lt = lt_now st node in
     let width =
-      match node.Node_rt.cristian with
-      | Some a -> Interval.width (Cristian.estimate_at a ~lt)
+      match Node_rt.baseline_estimate node "cristian" ~lt with
+      | Some est -> Interval.width est
       | None -> Interval.width (Csa.estimate_at node.Node_rt.csa ~lt)
     in
     let loose = Ext.lt (Ext.Fin width_target) width in
@@ -690,18 +684,16 @@ let run_nodes (scenario : Scenario.t) =
       | Fault_ev ev -> fault_ev st ev)
   done;
   st.now <- scenario.Scenario.duration;
+  let final_estimates =
+    Array.map (fun node -> Node_rt.estimates node ~lt:(lt_now st node)) st.nodes
+  in
   let per_algo =
     List.map
       (fun name ->
         let s = Metrics.algo_stats st.metrics name in
         let final_widths =
-          Array.map
-            (fun node ->
-              let interval =
-                List.assoc name (Node_rt.estimates node ~lt:(lt_now st node))
-              in
-              float_width interval)
-            st.nodes
+          Array.map (fun ests -> float_width (List.assoc name ests))
+            final_estimates
         in
         ( name,
           {

@@ -15,9 +15,9 @@
     (a {!Metrics} sink teed with the scenario's own [trace] sink, so
     external observers see exactly what the counters count).
 
-    Every node always runs the optimal CSA; baselines (drift-free+fudge,
-    NTP-flavoured, Cristian) piggyback on the very same messages so all
-    algorithms are compared on identical executions. *)
+    Every node always runs the optimal CSA; the scenario's baselines
+    piggyback on the very same messages so all algorithms are compared on
+    identical executions, reported optimal first, then in list order. *)
 
 type algo_summary = {
   samples : int;  (** estimate samples recorded *)

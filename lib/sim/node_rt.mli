@@ -1,6 +1,6 @@
 (** Per-node runtime of the simulator: one drifting clock plus the full
     algorithm stack riding on it — the optimal CSA, the optional
-    validation mirror, and the optional baseline algorithms, all fed from
+    validation mirror, and the scenario's baseline list, all fed from
     the very same messages.
 
     This is the simulator's realization of a {e processor} in the paper's
@@ -10,27 +10,19 @@
     that is all. *)
 
 (** What actually crosses a link.  The CSA payload travels Codec-encoded —
-    the real wire format end to end; baseline wire formats ride alongside
-    when those algorithms are enabled.  Application-level message kinds
-    are the engine's business and are deliberately absent. *)
-type envelope = {
-  wire : string;
-  ntp_w : Ntp.wire option;
-  cris_w : Cristian.wire option;
-  ftsp_w : Ftsp.wire option;
-  marz_w : Marzullo.wire option;
-}
+    the real wire format end to end; each listed baseline's wire rides
+    alongside, in the scenario's baseline order.  Application-level
+    message kinds are the engine's business and are deliberately
+    absent. *)
+type envelope = { wire : string; baseline_wires : Baseline.wire list }
 
 type t = {
   proc : Event.proc;
   clock : Clock.t;
   csa : Csa.t;
   mirror : Mirror.t option;
-  driftfree : Driftfree.t option;
-  ntp : Ntp.t option;
-  cristian : Cristian.t option;
-  ftsp : Ftsp.t option;
-  marzullo : Marzullo.t option;
+  baselines : Baseline.node list;
+      (** one instance per {!Scenario.t.baselines} entry, in order *)
   parents : Event.proc list;  (** next hops toward the source *)
   prof : Prof.t;  (** scenario profiler (times codec encode/decode) *)
 }
@@ -44,7 +36,7 @@ val create :
   t
 (** Boot processor [p]: a random initial offset (except at the source), a
     drifting clock per the scenario's clock policy, and the algorithm
-    stack the scenario enables.  [sink] is threaded into the CSA (liveness
+    stack the scenario lists.  [sink] is threaded into the CSA (liveness
     and oracle events).  Draws from [rng]; call in increasing [p] order
     for a reproducible stream. *)
 
@@ -67,17 +59,21 @@ val lt_at : t -> rt:Q.t -> Q.t
 (** The node's clock reading at real time [rt]. *)
 
 val prepare_send : t -> dst:Event.proc -> msg:int -> lt:Q.t -> envelope * int
-(** Record the send on every enabled algorithm and build the envelope;
+(** Record the send on every algorithm and build the envelope;
     also returns the number of piggybacked history events (the
     communication-overhead measure of Lemma 3.2). *)
 
 val receive : t -> src:Event.proc -> msg:int -> lt:Q.t -> envelope -> unit
-(** Record the delivery on every enabled algorithm (decodes the wire
-    payload exactly once). *)
+(** Record the delivery on every algorithm (decodes the wire payload
+    exactly once). *)
 
 val estimates : t -> lt:Q.t -> (string * Interval.t) list
 (** Per-algorithm source-time estimates at local time [lt], the optimal
-    CSA first, then enabled baselines in a fixed order. *)
+    CSA first, then the baselines in the scenario's order. *)
+
+val baseline_estimate : t -> string -> lt:Q.t -> Interval.t option
+(** The named baseline's estimate at local time [lt]; [None] when the
+    scenario does not run it. *)
 
 val validate : t -> bool option
 (** Cross-check the CSA estimate against the brute-force

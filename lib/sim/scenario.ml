@@ -20,13 +20,7 @@ type t = {
   loss_prob : float;
   loss_detect : Q.t;
   traffic : traffic;
-  run_driftfree : bool;
-  driftfree_window : Q.t;
-  run_ntp : bool;
-  run_cristian : bool;
-  cristian_rtt : Q.t;
-  run_ftsp : bool;
-  run_marzullo : bool;
+  baselines : Baseline.algo list;
   churn : churn option;
   validate : bool;
   validate_oracle : bool;
@@ -54,13 +48,7 @@ let default ~spec ~traffic =
     loss_prob = 0.;
     loss_detect = sec 1;
     traffic;
-    run_driftfree = false;
-    driftfree_window = sec 30;
-    run_ntp = false;
-    run_cristian = false;
-    cristian_rtt = ms 50;
-    run_ftsp = false;
-    run_marzullo = false;
+    baselines = [];
     churn = None;
     validate = false;
     validate_oracle = false;

@@ -2,7 +2,7 @@
 
     A scenario bundles the system specification, the hidden-truth knobs
     (clock rate policy, per-message delay policy, loss), the traffic
-    pattern (the paper's "send module"), and which algorithms to run
+    pattern (the paper's "send module"), and which baselines to run
     alongside the optimal CSA. *)
 
 type delay_policy = Transport.delay_policy
@@ -54,13 +54,9 @@ type t = {
   loss_prob : float;  (** per-message loss probability *)
   loss_detect : Q.t;  (** latency of the loss-detection oracle (§3.3) *)
   traffic : traffic;
-  run_driftfree : bool;
-  driftfree_window : Q.t;
-  run_ntp : bool;
-  run_cristian : bool;
-  cristian_rtt : Q.t;  (** Cristian's quick-round-trip threshold *)
-  run_ftsp : bool;
-  run_marzullo : bool;
+  baselines : Baseline.algo list;
+      (** practical algorithms run beside the optimal CSA on the very
+          same messages, reported in this order (see {!Baseline.all}) *)
   churn : churn option;
       (** edge churn compiled into [Link_cut] faults at engine start.
           Like any fault, churn forces lossy CSA mode (severed messages
@@ -104,7 +100,7 @@ type t = {
 
 val default : spec:System_spec.t -> traffic:traffic -> t
 (** 60 s duration, uniform delays, random clock rates over 5 s segments,
-    offsets up to 1 s, no loss, no extra algorithms, no validation. *)
+    offsets up to 1 s, no loss, no baselines, no validation. *)
 
 val sec : int -> Q.t
 (** Seconds as rational time units. *)

@@ -9,9 +9,7 @@ type family = {
   build : nodes:int -> duration:Q.t -> seed:int -> Scenario.t;
 }
 
-let algo_names =
-  [ "optimal"; Driftfree.name; Ntp.name; Cristian.name; Ftsp.name;
-    Marzullo.name ]
+let algo_names = "optimal" :: List.map Baseline.name Baseline.all
 
 (* one spec shape shared by the families: uniform drift and transit, the
    knobs that differ are topology, traffic and dynamics *)
@@ -19,17 +17,6 @@ let mk_spec ~n ~links =
   System_spec.uniform ~n ~source:0 ~drift:(Drift.of_ppm 100)
     ~transit:(Transit.of_q (Scenario.ms 1) (Scenario.ms 10))
     ~links
-
-let enable (s : Scenario.t) ~algos =
-  let on a = List.mem a algos in
-  {
-    s with
-    Scenario.run_driftfree = on Driftfree.name;
-    run_ntp = on Ntp.name;
-    run_cristian = on Cristian.name;
-    run_ftsp = on Ftsp.name;
-    run_marzullo = on Marzullo.name;
-  }
 
 let static_family =
   {
@@ -311,9 +298,12 @@ let run ?(log = fun _ -> ()) spec =
           (Printf.sprintf "family %s (%d/%d): %s" fam.fam_name (i + 1)
              (List.length spec.families) fam.fam_doc);
         let scenario =
-          enable ~algos:spec.algos
+          {
             (fam.build ~nodes:spec.nodes ~duration:spec.duration
                ~seed:(spec.seed + i))
+            with
+            Scenario.baselines = Baseline.select spec.algos;
+          }
         in
         let r =
           with_family_sink ~trace_dir:spec.trace_dir ~family:fam.fam_name

@@ -2,7 +2,7 @@
     crossed with synchronization algorithms, every cell scored on the
     same execution.
 
-    The engine already runs every enabled baseline on the very messages
+    The engine already runs every listed baseline on the very messages
     the optimal CSA sees, so a "cell" here is not a separate run: one
     seeded simulation per family produces a column of strictly
     comparable cells — identical traffic, identical delays, identical
@@ -20,8 +20,8 @@ type family = {
           algorithm must rank at or above every baseline on median
           width — the tournament's acceptance gate *)
   build : nodes:int -> duration:Q.t -> seed:int -> Scenario.t;
-      (** baseline-enable flags are overwritten by the runner from the
-          requested algorithm list *)
+      (** the runner overwrites the baseline list from the requested
+          algorithms *)
 }
 
 val all_families : family list
@@ -31,6 +31,9 @@ val family_of_name : string -> (family, string) result
 
 val algo_names : string list
 (** Every algorithm the tournament can score; ["optimal"] first. *)
+
+val check_algos : string list -> (unit, string) result
+(** Every name is one of {!algo_names}, and ["optimal"] is among them. *)
 
 type cell = {
   algo : string;

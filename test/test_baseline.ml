@@ -45,23 +45,28 @@ let test_ntp_round_trip_sound () =
   | Ext.Fin w0, Ext.Fin w1 -> Alcotest.(check bool) "wider later" true Q.(w1 > w0)
   | _ -> Alcotest.fail "expected finite estimates"
 
+let ntp_at me =
+  Rtt_estimator.create Rtt_estimator.ntp_policy spec2 ~me ~lt0:(q 0)
+
 let test_ntp_no_sample_no_estimate () =
-  let client = Ntp.create spec2 ~me:1 ~lt0:(q 0) in
+  let client = ntp_at 1 in
   Alcotest.(check bool) "full interval before any exchange" true
-    (Interval.equal (Ntp.estimate_at client ~lt:(q 5)) Interval.full);
+    (Interval.equal (Rtt_estimator.estimate_at client ~lt:(q 5)) Interval.full);
   (* a one-way message alone gives the receiver no round trip: the NTP
      estimate stays unbounded.  (The paper's optimal algorithm extracts a
      lower bound even from one-way messages — a structural difference.) *)
-  let server = Ntp.create spec2 ~me:0 ~lt0:(q 0) in
-  Ntp.on_recv client ~src:0 ~msg:1 ~lt:(q 8)
-    (Ntp.on_send server ~dst:1 ~msg:1 ~lt:(q 10));
+  let server = ntp_at 0 in
+  Rtt_estimator.on_recv client ~src:0 ~msg:1 ~lt:(q 8)
+    (Rtt_estimator.on_send server ~dst:1 ~msg:1 ~lt:(q 10));
   Alcotest.(check bool) "one-way message: still full" true
-    (Interval.equal (Ntp.estimate_at client ~lt:(q 8)) Interval.full)
+    (Interval.equal (Rtt_estimator.estimate_at client ~lt:(q 8)) Interval.full)
 
 let test_source_estimates_itself () =
-  let server = Ntp.create spec2 ~me:0 ~lt0:(q 0) in
+  let server = ntp_at 0 in
   Alcotest.(check bool) "source is exact" true
-    (Interval.equal (Ntp.estimate_at server ~lt:(q 7)) (Interval.point (q 7)))
+    (Interval.equal
+       (Rtt_estimator.estimate_at server ~lt:(q 7))
+       (Interval.point (q 7)))
 
 let test_cristian_threshold () =
   (* threshold below the observed round trip (5): sample rejected *)
@@ -237,6 +242,17 @@ let test_ftsp_election_converges_under_churn () =
       ~transit:(Transit.of_q (Scenario.ms 1) (Scenario.ms 10))
       ~links:(Topology.ring 5)
   in
+  (* the runtime's FTSP instances, by node: the registry module with
+     its state type visible, recording every instance it boots *)
+  let ftsp_of = Hashtbl.create 8 in
+  let module Ftsp_seen = struct
+    include Baseline.Ftsp_algo
+
+    let create spec ~me ~lt0 =
+      let f = create spec ~me ~lt0 in
+      Hashtbl.replace ftsp_of me f;
+      f
+  end in
   let r, nodes =
     Engine.run_nodes
       {
@@ -245,7 +261,7 @@ let test_ftsp_election_converges_under_churn () =
         with
         Scenario.duration = Scenario.sec 15;
         seed = 11;
-        run_ftsp = true;
+        baselines = [ (module Ftsp_seen) ];
         churn = Some { Scenario.cuts = 4; min_down = None; max_down = None };
       }
   in
@@ -255,11 +271,12 @@ let test_ftsp_election_converges_under_churn () =
     ftsp.Engine.contained;
   Array.iter
     (fun node ->
-      match node.Node_rt.ftsp with
+      let p = node.Node_rt.proc in
+      match Hashtbl.find_opt ftsp_of p with
       | None -> Alcotest.fail "ftsp stack missing"
       | Some f ->
         Alcotest.(check int)
-          (Printf.sprintf "node %d elected the source" node.Node_rt.proc)
+          (Printf.sprintf "node %d elected the source" p)
           0 (Ftsp.root f))
     nodes
 
@@ -275,13 +292,14 @@ let compare_scenario ~traffic ~seed =
     (Scenario.default ~spec ~traffic) with
     Scenario.duration = Scenario.sec 12;
     seed;
-    run_driftfree = true;
-    run_ntp = true;
-    run_cristian = true;
-    cristian_rtt = Scenario.ms 25;
-    driftfree_window = Scenario.sec 5;
-    run_ftsp = true;
-    run_marzullo = true;
+    baselines =
+      [
+        Baseline.driftfree ~window:(Scenario.sec 5);
+        Baseline.ntp;
+        Baseline.cristian ~rtt_threshold:(Scenario.ms 25);
+        Baseline.ftsp;
+        Baseline.marzullo;
+      ];
   }
 
 (* Simulation-level comparison: all baselines sound on random executions,
@@ -367,8 +385,7 @@ let test_driftfree_soundness_in_sim () =
            ~traffic:(Scenario.Ntp_poll { period = Scenario.sec 1 }))
         with
         Scenario.duration = Scenario.sec 30;
-        run_driftfree = true;
-        driftfree_window = Scenario.sec 10;
+        baselines = [ Baseline.driftfree ~window:(Scenario.sec 10) ];
       }
   in
   let df = List.assoc "driftfree" r.Engine.per_algo in

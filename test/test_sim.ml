@@ -205,10 +205,12 @@ let test_engine_ntp_poll_validated () =
       with
       Scenario.duration = Scenario.sec 20;
       validate = true;
-      run_driftfree = true;
-      run_ntp = true;
-      run_cristian = true;
-      cristian_rtt = Scenario.ms 25;
+      baselines =
+        [
+          Baseline.driftfree ~window:(Scenario.sec 30);
+          Baseline.ntp;
+          Baseline.cristian ~rtt_threshold:(Scenario.ms 25);
+        ];
     }
   in
   let r = Engine.run scenario in
@@ -279,8 +281,7 @@ let test_engine_burst () =
               { check_period = Scenario.sec 1; width_target = Scenario.ms 1 }))
       with
       Scenario.duration = Scenario.sec 15;
-      run_cristian = true;
-      cristian_rtt = Scenario.ms 12;
+      baselines = [ Baseline.cristian ~rtt_threshold:(Scenario.ms 12) ];
     }
   in
   let r = Engine.run scenario in
@@ -370,7 +371,7 @@ let test_export_csv () =
            ~traffic:(Scenario.Ntp_poll { period = Scenario.sec 1 }))
         with
         Scenario.duration = Scenario.sec 8;
-        run_ntp = true;
+        baselines = [ Baseline.ntp ];
       }
   in
   let series = Export.series_csv r in

@@ -88,7 +88,7 @@ let test_spec_validation () =
   check_rejected "unknown algorithm"
     { small_spec with Tourney.algos = [ "optimal"; "sundial" ] };
   check_rejected "missing optimal"
-    { small_spec with Tourney.algos = [ Ntp.name; Cristian.name ] };
+    { small_spec with Tourney.algos = [ "ntp"; "cristian" ] };
   check_rejected "two nodes" { small_spec with Tourney.nodes = 2 };
   check_rejected "no families" { small_spec with Tourney.families = [] }
 
