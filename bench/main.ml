@@ -1303,7 +1303,9 @@ let e18_two_tier_speedup () =
    frames per wall second, and the p99 final external-accuracy width.
    Cohorts are kept small: per-frame cost grows ~C^2.5-3 with cohort
    size C (full-information fan-out), so capacity scaling is measured
-   along K, not C. *)
+   along K, not C.  frames/s divides by the whole swarm's wall time,
+   most of which is client work; hub us/frame is the hub's own CPU time
+   (poll + next_deadline) per handled frame. *)
 let e19_row ~clients ~cohort =
   let r =
     Swarm.run_loopback ~seed:7 ~clients ~cohort ~duration:(q 8)
@@ -1315,19 +1317,20 @@ let e19_row ~clients ~cohort =
     | None -> (0, 0, 0)
   in
   let fps = float_of_int frames /. r.Swarm.elapsed_wall in
-  (clients, cohort, r, frames, batched, coalesced, fps)
+  let hub_us = r.Swarm.hub_cpu_s *. 1e6 /. float_of_int (max 1 frames) in
+  (clients, cohort, r, frames, batched, coalesced, fps, hub_us)
 
 let e19_hub_capacity () =
   section "E19" "hub capacity: one socket, K NTP-pattern clients";
   let data =
     List.map
       (fun (clients, cohort) -> e19_row ~clients ~cohort)
-      [ (16, 4); (64, 4); (128, 4); (256, 2) ]
+      [ (16, 1); (64, 1); (256, 1); (16, 4); (64, 4); (128, 4); (256, 2) ]
   in
   metric "hub_capacity"
     (J.List
        (List.map
-          (fun (clients, cohort, r, frames, batched, coalesced, fps) ->
+          (fun (clients, cohort, r, frames, batched, coalesced, fps, hub_us) ->
             J.Obj
               [
                 ("clients", J.Int clients);
@@ -1339,6 +1342,8 @@ let e19_hub_capacity () =
                 ("hub_batched", J.Int batched);
                 ("hub_coalesced", J.Int coalesced);
                 ("frames_per_wall_s", J.Float fps);
+                ("hub_cpu_s", J.Float r.Swarm.hub_cpu_s);
+                ("hub_us_per_frame", J.Float hub_us);
                 ("p50_width_s", J.Float (Swarm.p_width r 50.));
                 ("p99_width_s", J.Float (Swarm.p_width r 99.));
                 ("wall_s", J.Float r.Swarm.elapsed_wall);
@@ -1348,23 +1353,24 @@ let e19_hub_capacity () =
     ~header:
       [
         "clients"; "cohort"; "conv/sound"; "hub frames"; "frames/s";
-        "p50 width"; "p99 width"; "wall s";
+        "hub us/frame"; "p50 width"; "p99 width"; "wall s";
       ]
     (List.map
-       (fun (clients, cohort, r, frames, _, _, fps) ->
+       (fun (clients, cohort, r, frames, _, _, fps, hub_us) ->
          [
            string_of_int clients;
            string_of_int cohort;
            Printf.sprintf "%d/%d" r.Swarm.converged r.Swarm.sound;
            string_of_int frames;
            Printf.sprintf "%.0f" fps;
+           Printf.sprintf "%.0f" hub_us;
            Printf.sprintf "%.4f" (Swarm.p_width r 50.);
            Printf.sprintf "%.4f" (Swarm.p_width r 99.);
            Printf.sprintf "%.1f" r.Swarm.elapsed_wall;
          ])
        data);
   List.iter
-    (fun (clients, cohort, r, _, _, _, _) ->
+    (fun (clients, cohort, r, _, _, _, _, _) ->
       if r.Swarm.converged < clients || r.Swarm.sound < clients then
         failwith
           (Printf.sprintf
@@ -1373,8 +1379,9 @@ let e19_hub_capacity () =
     data;
   Format.printf
     "@.every client converges to a sound estimate through one shared@.\
-     socket; frames/s is the hub's sustained decode+dispatch rate on@.\
-     this machine (virtual-time fabric, so widths are exact).@."
+     socket; frames/s is whole-swarm throughput on this machine@.\
+     (virtual-time fabric, so widths are exact), hub us/frame the hub's@.\
+     own CPU time per handled frame.@."
 
 (* --------------------- E20: tournament grid (families x algorithms) *)
 
@@ -1573,8 +1580,19 @@ let guard () =
      drive loop, the cohort dispatch, or the fabric scheduler. *)
   let floor_hub_fps = 80. in
   let hub_clients, hub_r, hub_fps =
-    let clients, _, r, _, _, _, fps = e19_row ~clients:64 ~cohort:4 in
+    let clients, _, r, _, _, _, fps, _ = e19_row ~clients:64 ~cohort:4 in
     (clients, r, fps)
+  in
+  (* Hub ceiling (E19, K=64 cohort 1): the hub's own CPU time per
+     handled frame, measured apart from client time.  On a 2-vCPU
+     container the indexed hub measures ~135-200 us/frame; the earlier
+     loop that ticked, flushed and scanned every cohort on every poll
+     measured ~690-890.  400 leaves ~2x headroom for machine noise and
+     still fails a return to per-poll work over all K cohorts. *)
+  let ceiling_hub_us = 400. in
+  let hub1_r, hub1_us =
+    let _, _, r, _, _, _, _, us = e19_row ~clients:64 ~cohort:1 in
+    (r, us)
   in
   metric "bench_guard"
     (J.Obj
@@ -1589,12 +1607,17 @@ let guard () =
          ("hub_sound", J.Int hub_r.Swarm.sound);
          ("hub_frames_per_wall_s", J.Float hub_fps);
          ("floor_hub_frames_per_wall_s", J.Float floor_hub_fps);
+         ("hub_cohort1_converged", J.Int hub1_r.Swarm.converged);
+         ("hub_cohort1_us_per_frame", J.Float hub1_us);
+         ("ceiling_hub_cohort1_us_per_frame", J.Float ceiling_hub_us);
        ]);
   Format.printf "L=%d: %.0f inserts/s (floor %.0f)@." l ips floor_ips;
   Format.printf "decode: %.0f frames/s at 64 events (floor %.0f)@." dec_fps
     floor_fps;
   Format.printf "hub: %d/%d converged, %.0f frames/s (floor %.0f)@."
     hub_r.Swarm.converged hub_clients hub_fps floor_hub_fps;
+  Format.printf "hub cohort 1: %d/%d converged, %.0f us/frame (ceiling %.0f)@."
+    hub1_r.Swarm.converged hub_clients hub1_us ceiling_hub_us;
   if ips < floor_ips then
     failwith
       (Printf.sprintf
@@ -1615,7 +1638,19 @@ let guard () =
     failwith
       (Printf.sprintf
          "bench-guard: %.0f hub frames/s is below the %.0f floor" hub_fps
-         floor_hub_fps)
+         floor_hub_fps);
+  if hub1_r.Swarm.converged < hub_clients || hub1_r.Swarm.sound < hub_clients
+  then
+    failwith
+      (Printf.sprintf
+         "bench-guard: cohort-1 hub swarm %d/%d converged, %d/%d sound"
+         hub1_r.Swarm.converged hub_clients hub1_r.Swarm.sound hub_clients);
+  if hub1_us > ceiling_hub_us then
+    failwith
+      (Printf.sprintf
+         "bench-guard: %.0f hub us/frame at K=64 cohort 1 is above the %.0f \
+          ceiling"
+         hub1_us ceiling_hub_us)
 
 (* --------------------------------------------------------------- smoke *)
 

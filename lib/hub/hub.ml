@@ -17,6 +17,10 @@ module Make (N : Net_intf.NET) = struct
     mutable frames : int;
     mutable batched : int;
     mutable coalesced : int;
+    (* [Session.all_peers_done], as of the last re-cache *)
+    mutable settled : bool;
+    (* member of the hub's touched set *)
+    mutable is_touched : bool;
   }
 
   type t = {
@@ -34,6 +38,16 @@ module Make (N : Net_intf.NET) = struct
        overwrites it *)
     rbuf : Bytes.t;
     burst : int;
+    (* cached [Session.next_deadline] per cohort.  Valid for every
+       cohort outside [touched]: session state moves only when a
+       cohort is due, handles a frame, is stopped or is handed out, and
+       each of those touches it *)
+    deadlines : Deadline_index.t;
+    (* cohorts to tick, flush and re-cache on the next poll; every
+       cohort starts touched, so the first poll builds the index *)
+    mutable touched : int list;
+    (* cohorts whose [settled] is true *)
+    mutable settled_count : int;
   }
 
   let cohort_count ~n ~cohort_size = (n - 1 + cohort_size - 1) / cohort_size
@@ -60,7 +74,7 @@ module Make (N : Net_intf.NET) = struct
         | Ok session ->
           build (idx - 1)
             ({ idx; members; session; frames = 0; batched = 0;
-               coalesced = 0 }
+               coalesced = 0; settled = false; is_touched = true }
             :: acc)
     in
     match build (ncoh - 1) [] with
@@ -77,12 +91,27 @@ module Make (N : Net_intf.NET) = struct
           routes = Hashtbl.create 64;
           rbuf = Bytes.create Frame.max_frame;
           burst;
+          deadlines = Deadline_index.create ncoh;
+          touched = List.init ncoh Fun.id;
+          settled_count = 0;
         }
 
   let net t = t.net
   let cohorts t = Array.length t.cohorts
   let clients t = t.n - 1
-  let session t idx = t.cohorts.(idx).session
+
+  let touch t c =
+    if not c.is_touched then begin
+      c.is_touched <- true;
+      t.touched <- c.idx :: t.touched
+    end
+
+  (* a caller holding the session may mutate it: pick it up next poll *)
+  let session t idx =
+    let c = t.cohorts.(idx) in
+    touch t c;
+    c.session
+
   let members t idx = t.cohorts.(idx).members
 
   let cohort_of t g =
@@ -91,33 +120,62 @@ module Make (N : Net_intf.NET) = struct
 
   let ft now = Q.to_float now
 
-  (* One pass over every cohort's outgoing queue: a drive tick's worth
-     of acks and heartbeats to the same client leaves in a single
-     flush rather than one flush per handled frame.  [coalesced]
-     counts the frames beyond the first that shared their flush with
-     an earlier frame to the same destination. *)
-  let flush t =
-    Array.iter
+  (* Send one cohort's outgoing queue: a drive tick's worth of acks and
+     heartbeats to the same client leaves in a single flush rather than
+     one flush per handled frame.  [coalesced] counts the frames beyond
+     the first that shared their flush with an earlier frame to the
+     same destination. *)
+  let flush t c =
+    let rec go seen = function
+      | [] -> ()
+      | (dst, bytes) :: rest ->
+        (match Hashtbl.find_opt t.routes dst with
+        | Some addr -> N.send t.net addr bytes
+        | None ->
+          (* the session only addresses reachable members, and
+             reachability is only ever granted on receive, which
+             records the route first — but dropping matches the
+             datagram contract *)
+          ());
+        if List.mem dst seen then begin
+          c.coalesced <- c.coalesced + 1;
+          go seen rest
+        end
+        else go (dst :: seen) rest
+    in
+    go [] (Session.drain c.session)
+
+  (* bring a cohort's cached deadline and done flag up to date *)
+  let recache t c =
+    Deadline_index.set t.deadlines c.idx (Session.next_deadline c.session);
+    let settled = Session.all_peers_done c.session in
+    if settled <> c.settled then begin
+      c.settled <- settled;
+      t.settled_count <- (t.settled_count + if settled then 1 else -1)
+    end
+
+  let recache_touched t =
+    List.iter (fun i -> recache t t.cohorts.(i)) t.touched
+
+  (* Tick (at [tick], when given), flush and re-cache every touched
+     cohort, then empty the set.  Ascending cohort index, ticks before flushes: the
+     order a pass over every cohort would reach them in.  Ticking a
+     session that is not due is a no-op and flushing an empty queue
+     sends nothing, so every send reaches the net in the same order as
+     if all cohorts were visited. *)
+  let settle ?tick t =
+    let idx = List.sort Int.compare t.touched in
+    t.touched <- [];
+    let cs = List.map (fun i -> t.cohorts.(i)) idx in
+    Option.iter
+      (fun now -> List.iter (fun c -> Session.tick c.session ~now) cs)
+      tick;
+    List.iter (flush t) cs;
+    List.iter
       (fun c ->
-        match Session.drain c.session with
-        | [] -> ()
-        | frames ->
-          let seen = Hashtbl.create 8 in
-          List.iter
-            (fun (dst, bytes) ->
-              (match Hashtbl.find_opt t.routes dst with
-              | Some addr -> N.send t.net addr bytes
-              | None ->
-                (* the session only addresses reachable members, and
-                   reachability is only ever granted on receive, which
-                   records the route first — but dropping matches the
-                   datagram contract *)
-                ());
-              if Hashtbl.mem seen dst then
-                c.coalesced <- c.coalesced + 1
-              else Hashtbl.add seen dst ())
-            frames)
-      t.cohorts
+        c.is_touched <- false;
+        recache t c)
+      cs
 
   let handle_datagram t ~batched (addr, len) =
     let now = N.now t.net in
@@ -138,24 +196,20 @@ module Make (N : Net_intf.NET) = struct
         (match Hashtbl.find_opt t.routes g with
         | Some a when N.equal_addr a addr -> ()
         | _ -> Hashtbl.replace t.routes g addr);
+        touch t c;
         Session.peer_reachable c.session ~peer:g ~now;
         Session.handle c.session ~now ~bytes:len frame)
 
   let next_deadline t =
-    Array.fold_left
-      (fun acc c ->
-        match Session.next_deadline c.session with
-        | None -> acc
-        | Some d -> (
-          match acc with None -> Some d | Some a -> Some (Q.min a d)))
-      None t.cohorts
+    recache_touched t;
+    Deadline_index.earliest t.deadlines
 
   let poll t ~max_wait = Prof.span t.prof "hub_poll" @@ fun () ->
     let now = N.now t.net in
-    Array.iter (fun c -> Session.tick c.session ~now) t.cohorts;
-    flush t;
+    Deadline_index.pop_due t.deadlines ~now (fun i -> touch t t.cohorts.(i));
+    settle ~tick:now t;
     let timeout =
-      match next_deadline t with
+      match Deadline_index.earliest t.deadlines with
       | None -> max_wait
       | Some d -> Q.max Q.zero (Q.min max_wait (Q.sub d now))
     in
@@ -174,7 +228,7 @@ module Make (N : Net_intf.NET) = struct
             go (k + 1)
       in
       go 1);
-    flush t
+    settle t
 
   let established_in c =
     List.length (List.filter (Session.established c.session) c.members)
@@ -209,9 +263,16 @@ module Make (N : Net_intf.NET) = struct
       t.cohorts
 
   let stop t ~now =
-    Array.iter (fun c -> Session.stop c.session ~now) t.cohorts;
-    flush t
+    Array.iter
+      (fun c ->
+        Session.stop c.session ~now;
+        touch t c)
+      t.cohorts;
+    settle t
 
-  let all_clients_done t =
-    Array.for_all (fun c -> Session.all_peers_done c.session) t.cohorts
+  let settled_cohorts t =
+    recache_touched t;
+    t.settled_count
+
+  let all_clients_done t = settled_cohorts t = Array.length t.cohorts
 end

@@ -25,9 +25,22 @@
     The drive loop is readiness-driven and batched: one blocking
     receive per tick, then a zero-timeout burst drain of the kernel
     queue (decode in place from the single receive buffer), then {e
-    one} flush of every cohort's queued acks and heartbeats — frames
-    to the same client leave together ("coalesced") instead of one
-    flush per handled frame. *)
+    one} flush of the cohorts that handled a frame — frames to the same
+    client leave together ("coalesced") instead of one flush per
+    handled frame.
+
+    {b Touched set.}  A poll costs what its frames and due timers cost,
+    not the cohort count.  The hub caches each cohort's
+    [Session.next_deadline] in a {!Deadline_index} and keeps a set of
+    {e touched} cohorts: a cohort is touched when its cached deadline is
+    due, when it handles a frame, when {!stop} runs, and when {!session}
+    hands it out.  [poll] ticks, flushes and re-caches only touched
+    cohorts, always in ascending cohort index, then empties the set.
+    Ticking a session that is not due is a no-op, flushing an empty
+    queue sends nothing, and the deadline depends only on session
+    state, so every send reaches the net in the order a pass over all
+    cohorts would produce.  Every cohort starts touched: the first poll
+    (or {!next_deadline}) builds the index. *)
 
 type stats = {
   clients : int;
@@ -68,17 +81,24 @@ module Make (N : Net_intf.NET) : sig
   val cohorts : t -> int
   val clients : t -> int
   val session : t -> int -> Session.t
-  (** The cohort's session, for checkpoint wiring and tests. *)
+  (** The cohort's session, for checkpoint wiring and tests.  Handing it
+      out touches the cohort, so whatever the caller does to the
+      session before the next {!poll} is picked up by that poll (queued
+      frames flushed, timers re-read).  A reference kept past that poll
+      is not watched: go through [session] again before mutating. *)
 
   val members : t -> int -> Event.proc list
 
   val poll : t -> max_wait:Q.t -> unit
-  (** One drive tick: fire every cohort's due timers, flush, wait up to
-      [max_wait] (capped by the earliest cohort deadline) for a
-      datagram, burst-drain the queue, flush once more. *)
+  (** One drive tick: tick and flush the touched cohorts (those with a
+      due deadline among them), wait up to [max_wait] (capped by the
+      earliest cohort deadline) for a datagram, burst-drain the queue,
+      then flush the cohorts that handled a frame.  Touched cohorts are
+      visited in ascending index order and their deadlines re-cached. *)
 
   val next_deadline : t -> Q.t option
-  (** Earliest pending timer across all cohorts (local time). *)
+  (** Earliest pending timer across all cohorts (local time), read off
+      the deadline index after re-caching any touched cohorts. *)
 
   val stats : t -> stats
 
@@ -88,9 +108,15 @@ module Make (N : Net_intf.NET) : sig
       what feeds [Expo]'s hub gauges and [clocksync analyze]. *)
 
   val stop : t -> now:Q.t -> unit
-  (** Bye to every reachable client, then a final flush. *)
+  (** Bye to every reachable client, then a final flush.  Touches every
+      cohort. *)
+
+  val settled_cohorts : t -> int
+  (** Cohorts whose [Session.all_peers_done] holds, kept as a count that
+      is updated whenever a touched cohort is re-cached. *)
 
   val all_clients_done : t -> bool
   (** Every client of every cohort was up at some point and has since
-      said bye — the hub's natural exit condition. *)
+      said bye — the hub's natural exit condition.  O(touched), read off
+      {!settled_cohorts}. *)
 end

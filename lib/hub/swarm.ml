@@ -20,6 +20,7 @@ type report = {
   hub : Hub.stats option;
   fabric_delivered : int;
   elapsed_wall : float;
+  hub_cpu_s : float;
   per_client : client_report list;
 }
 
@@ -60,7 +61,8 @@ let track tr ~truth est =
     tr.t_uncontained <- tr.t_uncontained + 1;
   tr.t_last_width <- w
 
-let finish ~established trackers ~hub ~fabric_delivered ~elapsed_wall =
+let finish ~established trackers ~hub ~fabric_delivered ~elapsed_wall
+    ~hub_cpu_s =
   let per_client : client_report list =
     List.map2
       (fun tr up ->
@@ -95,6 +97,7 @@ let finish ~established trackers ~hub ~fabric_delivered ~elapsed_wall =
     hub;
     fabric_delivered;
     elapsed_wall;
+    hub_cpu_s;
     per_client;
   }
 
@@ -148,14 +151,24 @@ let run_loopback ?(seed = 42) ?(loss = 0.) ?(cohort = 8)
         Loopback.L.learn loop ~peer:0 0;
         (ep, session, loop, fresh_tracker g))
   in
+  (* process CPU seconds inside the hub's two entry points: the hub's
+     own share of a run whose wall time is mostly client work *)
+  let hub_cpu_s = ref 0. in
+  let hub_timed f =
+    let t0 = Sys.time () in
+    let r = f () in
+    hub_cpu_s := !hub_cpu_s +. (Sys.time () -. t0);
+    r
+  in
   let drivers =
     {
-      Loopback.poll = (fun () -> Lhub.poll hub ~max_wait:Q.zero);
+      Loopback.poll =
+        (fun () -> hub_timed (fun () -> Lhub.poll hub ~max_wait:Q.zero));
       next_vt =
         (fun () ->
           (* the hub runs offset 0 / rate 1: local time is virtual
              time *)
-          Lhub.next_deadline hub);
+          hub_timed (fun () -> Lhub.next_deadline hub));
       addr = Some 0;
     }
     :: (Array.to_list clients_a
@@ -186,6 +199,7 @@ let run_loopback ?(seed = 42) ?(loss = 0.) ?(cohort = 8)
   finish ~established trackers ~hub:(Some (Lhub.stats hub))
     ~fabric_delivered:(Loopback.delivered fab)
     ~elapsed_wall:(Unix.gettimeofday () -. wall0)
+    ~hub_cpu_s:!hub_cpu_s
 
 (* ---- real-UDP swarm: K in-process clients against a hub process ---- *)
 
@@ -243,18 +257,21 @@ let run_udp ?(seed = 42) ?(drop = 0.) ?(duration = Q.of_int 15)
     end
   in
   go ();
+  (* read before the byes go out: a fast hub answers the last client's
+     bye with its own inside that client's final poll, which would mark
+     the hub down for a reason that is not a failure of the run *)
+  let established =
+    Array.to_list clients_a
+    |> List.map (fun (_, session, _, _) -> Session.established session 0)
+  in
   Array.iter
     (fun (net, session, loop, _) ->
       Session.stop session ~now:(Udp.now net);
       Unet.poll loop ~max_wait:Q.zero)
     clients_a;
-  let established =
-    Array.to_list clients_a
-    |> List.map (fun (_, session, _, _) -> Session.established session 0)
-  in
   let trackers =
     Array.to_list clients_a |> List.map (fun (_, _, _, tr) -> tr)
   in
   Array.iter (fun (net, _, _, _) -> Udp.close net) clients_a;
   finish ~established trackers ~hub:None ~fabric_delivered:0
-    ~elapsed_wall:(Unix.gettimeofday () -. wall0)
+    ~elapsed_wall:(Unix.gettimeofday () -. wall0) ~hub_cpu_s:0.

@@ -12,7 +12,9 @@
 
 type client_report = {
   id : int;
-  established : bool;  (** the hub was up from this client's view at the end *)
+  established : bool;
+      (** the hub was up from this client's view at the end of the run,
+          before the closing byes *)
   samples : int;
   finite : int;  (** samples whose interval width was finite *)
   uncontained : int;  (** samples whose interval missed the truth *)
@@ -28,6 +30,10 @@ type report = {
   hub : Hub.stats option;  (** loopback mode only (the hub is in-process) *)
   fabric_delivered : int;  (** loopback mode: datagrams delivered *)
   elapsed_wall : float;  (** wall seconds the whole run took *)
+  hub_cpu_s : float;
+      (** loopback mode: process CPU seconds spent inside the hub's
+          [poll] and [next_deadline] (0 in UDP mode, where the hub is
+          another process) *)
   per_client : client_report list;
 }
 

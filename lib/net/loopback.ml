@@ -1,29 +1,12 @@
 type packet = { at : Q.t; seq : int; src : int; dst : int; bytes : string }
 
-(* Pairing heap over (at, seq, dst): the fabric's delivery schedule.
-   Entries are never updated in place — consumption makes them stale and
-   they are discarded lazily when popped (an entry is live iff its
-   packet is still the head of its destination queue; both structures
-   share the (at, seq) order, so the check is one head comparison). *)
-type hnode = { h_at : Q.t; h_seq : int; h_dst : int }
-type heap = E | N of hnode * heap list
-
-let h_le a b =
-  match Q.compare a.h_at b.h_at with 0 -> a.h_seq <= b.h_seq | c -> c < 0
-
-let h_merge a b =
-  match (a, b) with
-  | E, h | h, E -> h
-  | N (x, xs), N (y, ys) -> if h_le x y then N (x, b :: xs) else N (y, a :: ys)
-
-let h_push h x = h_merge h (N (x, []))
-
-let rec h_merge_pairs = function
-  | [] -> E
-  | [ h ] -> h
-  | a :: b :: rest -> h_merge (h_merge a b) (h_merge_pairs rest)
-
-let h_pop = function E -> None | N (x, hs) -> Some (x, h_merge_pairs hs)
+(* The fabric's delivery schedule: a {!Deadline_index.Heap} over
+   (at, seq) keyed by destination.  Entries are never updated in place —
+   consumption makes them stale and they are discarded lazily when popped
+   (an entry is live iff its packet is still the head of its destination
+   queue; both structures share the (at, seq) order, so the check is one
+   head comparison). *)
+module H = Deadline_index.Heap
 
 type fabric = {
   rng : Rng.t;
@@ -34,7 +17,7 @@ type fabric = {
   (* per-destination pending packets, each sorted by (at, seq); recv is
      a head pop instead of a scan of everyone's traffic *)
   queues : (int, packet list) Hashtbl.t;
-  mutable sched : heap;
+  mutable sched : H.t;
   mutable next_seq : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -54,7 +37,7 @@ let fabric ?(seed = 11) ?(loss = 0.) ~delay_lo ~delay_hi () =
     delay_hi;
     vnow = Q.zero;
     queues = Hashtbl.create 64;
-    sched = E;
+    sched = H.empty;
     next_seq = 0;
     delivered = 0;
     dropped = 0;
@@ -93,26 +76,21 @@ let insert_sorted fab p =
   in
   let old = Option.value ~default:[] (Hashtbl.find_opt fab.queues p.dst) in
   Hashtbl.replace fab.queues p.dst (go old);
-  fab.sched <- h_push fab.sched { h_at = p.at; h_seq = p.seq; h_dst = p.dst }
+  fab.sched <- H.push fab.sched { H.at = p.at; seq = p.seq; key = p.dst }
 
 (* drop stale heads (consumed or discarded packets); the surviving head
    is the fabric's next delivery *)
 let rec sched_head fab =
-  match fab.sched with
-  | E -> None
-  | N (e, _) -> (
-    match queue_head fab e.h_dst with
-    | Some p when p.seq = e.h_seq -> Some e
+  match H.top fab.sched with
+  | None -> None
+  | Some e -> (
+    match queue_head fab e.H.key with
+    | Some p when p.seq = e.H.seq -> Some e
     | _ ->
-      (match h_pop fab.sched with
-      | Some (_, rest) -> fab.sched <- rest
-      | None -> ());
+      fab.sched <- H.pop fab.sched;
       sched_head fab)
 
-let sched_drop fab =
-  match h_pop fab.sched with
-  | Some (_, rest) -> fab.sched <- rest
-  | None -> ()
+let sched_drop fab = fab.sched <- H.pop fab.sched
 
 module Net = struct
   type t = endpoint
@@ -163,7 +141,7 @@ module L = Loop.Make (Net)
 
 let deliverable fab =
   match sched_head fab with
-  | Some e -> Q.(e.h_at <= fab.vnow)
+  | Some e -> Q.(e.H.at <= fab.vnow)
   | None -> false
 
 (* The scheduler only needs three things from whatever it is driving: a
@@ -197,41 +175,12 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
     (fun i d -> Option.iter (fun a -> Hashtbl.replace by_addr a i) d.addr)
     drivers;
   (* cached next deadlines, in virtual time; refreshed only for drivers
-     that were polled (their state is the only one that moved).  A lazy
-     min-heap mirrors the cache so finding the earliest deadline — and
-     the set of due drivers — never scans all K drivers: an entry is
-     live iff it still equals its driver's cached deadline, and stale
-     entries are discarded when popped, exactly like the packet
-     schedule above. *)
-  let deadline = Array.map (fun d -> d.next_vt ()) drivers in
-  let dheap = ref E in
-  let push_deadline i =
-    match deadline.(i) with
-    | Some vt -> dheap := h_push !dheap { h_at = vt; h_seq = 0; h_dst = i }
-    | None -> ()
-  in
-  Array.iteri (fun i _ -> push_deadline i) deadline;
-  let rec dheap_head () =
-    match !dheap with
-    | E -> None
-    | N (e, _) -> (
-      match deadline.(e.h_dst) with
-      | Some vt when Q.equal vt e.h_at -> Some e
-      | _ ->
-        (match h_pop !dheap with
-        | Some (_, rest) -> dheap := rest
-        | None -> ());
-        dheap_head ())
-  in
-  let dheap_pop () =
-    match h_pop !dheap with
-    | Some (_, rest) -> dheap := rest
-    | None -> ()
-  in
-  let refresh i =
-    deadline.(i) <- drivers.(i).next_vt ();
-    push_deadline i
-  in
+     that were polled (their state is the only one that moved), so
+     finding the earliest deadline — and the set of due drivers — never
+     scans all K drivers *)
+  let deadlines = Deadline_index.create k in
+  let refresh i = Deadline_index.set deadlines i (drivers.(i).next_vt ()) in
+  Array.iteri (fun i _ -> refresh i) drivers;
   let poll_all () =
     Array.iteri
       (fun i d ->
@@ -278,17 +227,9 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
           due_list := i :: !due_list
         end
       in
-      (* due deadlines: pop live heap entries at or before now (the
-         polled drivers' refresh re-pushes whatever deadline remains) *)
-      let rec mark_deadlines () =
-        match dheap_head () with
-        | Some e when Q.(e.h_at <= fab.vnow) ->
-          dheap_pop ();
-          mark_due e.h_dst;
-          mark_deadlines ()
-        | _ -> ()
-      in
-      mark_deadlines ();
+      (* due deadlines: pop the drivers due at or before now (the
+         polled drivers' refresh re-caches whatever deadline remains) *)
+      Deadline_index.pop_due deadlines ~now:fab.vnow mark_due;
       (* mark the receiver of the due packet at the schedule head; a
          due packet for an address nobody polls is undeliverable —
          discard it so it cannot stall the schedule.  Only the head is
@@ -297,11 +238,11 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
          head is consumed and its entry goes stale. *)
       let rec mark () =
         match sched_head fab with
-        | Some e when Q.(e.h_at <= fab.vnow) -> (
-          match Hashtbl.find_opt by_addr e.h_dst with
+        | Some e when Q.(e.H.at <= fab.vnow) -> (
+          match Hashtbl.find_opt by_addr e.H.key with
           | Some i -> mark_due i
           | None ->
-            ignore (queue_pop fab e.h_dst);
+            ignore (queue_pop fab e.H.key);
             sched_drop fab;
             mark ())
         | _ -> ()
@@ -323,8 +264,8 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
         (* progress = a delivery or a timer pushed past now; stop when
            neither can happen anymore *)
         let timers_pending =
-          match dheap_head () with
-          | Some e -> Q.(e.h_at <= fab.vnow)
+          match Deadline_index.earliest deadlines with
+          | Some at -> Q.(at <= fab.vnow)
           | None -> false
         in
         if fab.delivered > d0 || timers_pending then drain ()
@@ -333,15 +274,12 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
              in practice; drop it rather than spin *)
           match sched_head fab with
           | Some e ->
-            ignore (queue_pop fab e.h_dst);
+            ignore (queue_pop fab e.H.key);
             sched_drop fab
           | None -> ()
         end
     in
     drain ()
-  in
-  let next_deadline_vt () =
-    Option.map (fun e -> e.h_at) (dheap_head ())
   in
   poll_all ();
   step ();
@@ -349,13 +287,15 @@ let run_drivers fab ~drivers ~until ?(script = []) () =
     if Q.(fab.vnow < until) then begin
       let cands = [] in
       let cands =
-        match sched_head fab with Some e -> e.h_at :: cands | None -> cands
+        match sched_head fab with Some e -> e.H.at :: cands | None -> cands
       in
       let cands =
         match !script with (at, _) :: _ -> at :: cands | [] -> cands
       in
       let cands =
-        match next_deadline_vt () with Some a -> a :: cands | None -> cands
+        match Deadline_index.earliest deadlines with
+        | Some a -> a :: cands
+        | None -> cands
       in
       (* a step leaves every timer strictly in the future and every due
          packet/script entry consumed, so filtering keeps us moving *)

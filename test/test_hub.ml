@@ -193,6 +193,244 @@ let prop_hub_equals_pairs =
           List.for_all2 Interval.equal pair (List.assoc cc.g hub_trajs))
         clocks)
 
+(* --- reference hub ---------------------------------------------------- *)
+
+(* The hub drive loop without the deadline index or the touched set:
+   every poll ticks every cohort, flushes every cohort, and folds
+   [Session.next_deadline] over every cohort.  Built on the public
+   Session/Frame API alone, it is the oracle the indexed hub must match
+   event for event. *)
+module Ref_hub = struct
+  type t = {
+    ep : Loopback.endpoint;
+    sink : Trace.sink;
+    n : int;
+    cohort_size : int;
+    sessions : Session.t array;
+    routes : (int, int) Hashtbl.t;
+    rbuf : Bytes.t;
+  }
+
+  let create ~sink ~ep ~n ~cohort_size ~mk_session =
+    let ncoh = (n - 1 + cohort_size - 1) / cohort_size in
+    let sessions =
+      Array.init ncoh (fun idx ->
+          let lo = 1 + (idx * cohort_size) in
+          let hi = min (n - 1) (lo + cohort_size - 1) in
+          mk_session ~idx ~members:(List.init (hi - lo + 1) (fun k -> lo + k)))
+    in
+    { ep; sink; n; cohort_size; sessions; routes = Hashtbl.create 16;
+      rbuf = Bytes.create Frame.max_frame }
+
+  let flush t =
+    Array.iter
+      (fun s ->
+        List.iter
+          (fun (dst, bytes) ->
+            match Hashtbl.find_opt t.routes dst with
+            | Some a -> Loopback.Net.send t.ep a bytes
+            | None -> ())
+          (Session.drain s))
+      t.sessions
+
+  let handle t (addr, len) =
+    let now = Loopback.Net.now t.ep in
+    let drop reason =
+      Trace.emit t.sink (Trace.Net_drop { t = Q.to_float now; reason })
+    in
+    match Frame.decode_sub t.rbuf ~pos:0 ~len with
+    | Error e -> drop ("frame: " ^ e)
+    | Ok frame ->
+      let g = frame.Frame.sender in
+      if g < 1 || g >= t.n then
+        drop (Printf.sprintf "frame from non-client %d" g)
+      else begin
+        let s = t.sessions.((g - 1) / t.cohort_size) in
+        Hashtbl.replace t.routes g addr;
+        Session.peer_reachable s ~peer:g ~now;
+        Session.handle s ~now ~bytes:len frame
+      end
+
+  let next_deadline t =
+    Array.fold_left
+      (fun acc s ->
+        match (acc, Session.next_deadline s) with
+        | None, d | d, None -> d
+        | Some a, Some d -> Some (Q.min a d))
+      None t.sessions
+
+  (* the hub's default burst cap: 256 datagrams per wakeup *)
+  let poll t =
+    let now = Loopback.Net.now t.ep in
+    Array.iter (fun s -> Session.tick s ~now) t.sessions;
+    flush t;
+    let rec go k =
+      if k < 256 then
+        match Loopback.Net.recv t.ep ~buf:t.rbuf ~timeout:Q.zero with
+        | None -> ()
+        | Some d ->
+          handle t d;
+          go (k + 1)
+    in
+    go 0;
+    flush t
+
+  let stop t ~now =
+    Array.iter (fun s -> Session.stop s ~now) t.sessions;
+    flush t
+end
+
+type hub_ops = {
+  h_poll : unit -> unit;
+  h_next : unit -> Q.t option;
+  h_session : int -> Session.t;
+  h_stop : now:Q.t -> unit;
+}
+
+(* One seeded world: a hub (indexed or reference) and [k] clients on a
+   lossy fabric with random transit, write-ahead checkpoints into
+   memory, a session mutated through the hub's [session] mid-run, and a
+   hub stop before the end.  Returns the rendered trace and the hub's
+   next deadline after every poll. *)
+let hub_world ~reference ~k ~cohort ~loss =
+  let events = ref [] in
+  let sink =
+    Trace.callback (fun e ->
+        events := Json_out.to_line (Trace.json_of_event e) :: !events)
+  in
+  let spec = star_spec ~nodes:(k + 1) in
+  let fab =
+    Loopback.fabric ~seed:13 ~loss ~delay_lo:(ms 2) ~delay_hi:(ms 30) ()
+  in
+  let hub_ep = Loopback.endpoint fab ~id:0 () in
+  let cfg0 = mk_cfg ~spec ~me:0 ~heartbeat:(Q.of_ints 1 2) in
+  let mk_session ~idx:_ ~members =
+    let s = Session.create ~sink ~peers:members cfg0 ~now:Q.zero in
+    let disk = ref "" in
+    Session.set_checkpoint s (fun blob -> disk := blob);
+    s
+  in
+  let ops =
+    if reference then
+      let h =
+        Ref_hub.create ~sink ~ep:hub_ep ~n:(k + 1) ~cohort_size:cohort
+          ~mk_session
+      in
+      {
+        h_poll = (fun () -> Ref_hub.poll h);
+        h_next = (fun () -> Ref_hub.next_deadline h);
+        h_session = (fun i -> h.Ref_hub.sessions.(i));
+        h_stop = Ref_hub.stop h;
+      }
+    else
+      match
+        Swarm.Lhub.create ~sink ~net:hub_ep ~spec ~cohort_size:cohort
+          ~mk_session:(fun ~idx ~members -> Ok (mk_session ~idx ~members))
+          ()
+      with
+      | Error m -> Alcotest.failf "create: %s" m
+      | Ok h ->
+        {
+          h_poll = (fun () -> Swarm.Lhub.poll h ~max_wait:Q.zero);
+          h_next = (fun () -> Swarm.Lhub.next_deadline h);
+          h_session = Swarm.Lhub.session h;
+          h_stop = Swarm.Lhub.stop h;
+        }
+  in
+  let clients =
+    List.init k (fun i ->
+        let g = i + 1 in
+        let ep =
+          Loopback.endpoint fab ~id:g
+            ~offset:(ms (37 * g mod 200))
+            ~rate:(Q.add Q.one (Q.of_ints ((53 * g mod 401) - 200) 1_000_000))
+            ()
+        in
+        let session =
+          Session.create ~sink
+            (mk_cfg ~spec ~me:g ~heartbeat:(Q.of_ints 1 2))
+            ~now:(Loopback.Net.now ep)
+        in
+        let loop = Loopback.L.create ~net:ep ~session () in
+        Loopback.L.learn loop ~peer:0 0;
+        (ep, session, loop))
+  in
+  let deadlines = ref [] in
+  let drivers =
+    {
+      Loopback.poll =
+        (fun () ->
+          ops.h_poll ();
+          deadlines := ops.h_next () :: !deadlines);
+      next_vt = ops.h_next;
+      addr = Some 0;
+    }
+    :: List.map (fun (_, _, loop) -> Loopback.driver_of_loop loop) clients
+  in
+  let sample () =
+    List.iter
+      (fun (ep, session, _) ->
+        ignore (Session.sample session ~now:(Loopback.Net.now ep) ()))
+      clients
+  in
+  let script =
+    List.init 5 (fun i -> (Q.of_int (i + 1), sample))
+    @ [
+        ( Q.of_ints 5 2,
+          fun () ->
+            (* a forced data round through the handed-out session *)
+            let s = ops.h_session 0 in
+            List.iter
+              (fun m ->
+                if Session.established s m then
+                  Session.send_data s ~now:(Loopback.vnow fab) ~dst:m)
+              (Session.peer_ids s) );
+        (Q.of_ints 9 2, fun () -> ops.h_stop ~now:(Loopback.vnow fab));
+      ]
+  in
+  Loopback.run_drivers fab ~drivers ~until:(Q.of_int 6) ~script ();
+  ( List.rev !events,
+    List.rev !deadlines,
+    (Loopback.delivered fab, Loopback.dropped fab) )
+
+let test_hub_matches_reference () =
+  List.iter
+    (fun (k, cohort, loss) ->
+      let what = Printf.sprintf "K=%d cohort=%d loss=%.1f" k cohort loss in
+      let ev, dl, fab = hub_world ~reference:false ~k ~cohort ~loss in
+      let ev', dl', fab' = hub_world ~reference:true ~k ~cohort ~loss in
+      Alcotest.(check (pair int int)) (what ^ ": fabric counts") fab' fab;
+      Alcotest.(check int) (what ^ ": polls") (List.length dl') (List.length dl);
+      List.iteri
+        (fun i (a, b) ->
+          if not (Option.equal Q.equal a b) then
+            Alcotest.failf "%s: next_deadline differs after poll %d" what i)
+        (List.combine dl' dl);
+      Alcotest.(check int) (what ^ ": events") (List.length ev') (List.length ev);
+      List.iteri
+        (fun i (a, b) ->
+          if a <> b then
+            Alcotest.failf "%s: event %d differs:\n  reference %s\n  hub       %s"
+              what i a b)
+        (List.combine ev' ev);
+      (* the run must reach the paths the index can get wrong: timers
+         firing on their own (checkpointed sends, loss verdicts) *)
+      let has kind =
+        let tag = Printf.sprintf "{\"event\":\"%s\"" kind in
+        List.exists (String.starts_with ~prefix:tag) ev
+      in
+      List.iter
+        (fun kind ->
+          if not (has kind) then Alcotest.failf "%s: no %s event" what kind)
+        ([ "checkpoint"; "peer_up"; "estimate" ]
+        @ if loss > 0. then [ "retransmit" ] else []))
+    (List.concat_map
+       (fun k ->
+         List.concat_map
+           (fun cohort -> List.map (fun loss -> (k, cohort, loss)) [ 0.; 0.1 ])
+           [ 1; 3 ])
+       [ 1; 5; 17 ])
+
 (* --- cohort sharding -------------------------------------------------- *)
 
 let test_cohort_partition () =
@@ -223,6 +461,37 @@ let test_cohort_partition () =
   Alcotest.(check bool) "sharded digests match a whole node's" true
     (Session.config_digest cfg0
     = Session.config_digest (mk_cfg ~spec ~me:0 ~heartbeat:q_one))
+
+(* a session handed out by [Hub.session] and mutated is picked up by the
+   next [next_deadline], before any poll has run *)
+let test_deadline_sees_handed_out_session () =
+  let spec = star_spec ~nodes:5 in
+  let fab = Loopback.fabric ~delay_lo:(ms 1) ~delay_hi:(ms 2) () in
+  let ep = Loopback.endpoint fab ~id:0 () in
+  let cfg0 = mk_cfg ~spec ~me:0 ~heartbeat:q_one in
+  let hub =
+    match
+      Swarm.Lhub.create ~net:ep ~spec ~cohort_size:2
+        ~mk_session:(fun ~idx:_ ~members ->
+          Ok (Session.create ~peers:members cfg0 ~now:Q.zero))
+        ()
+    with
+    | Ok h -> h
+    | Error m -> Alcotest.failf "create: %s" m
+  in
+  let dl = Alcotest.testable (Fmt.of_to_string (function
+      | None -> "none" | Some d -> Q.to_string d)) (Option.equal Q.equal)
+  in
+  Alcotest.check dl "idle hub" None (Swarm.Lhub.next_deadline hub);
+  let s = Swarm.Lhub.session hub 1 in
+  Session.peer_reachable s ~peer:3 ~now:(ms 700);
+  Alcotest.check dl "announce due" (Some (ms 700))
+    (Swarm.Lhub.next_deadline hub);
+  Swarm.Lhub.poll hub ~max_wait:Q.zero;
+  let s = Swarm.Lhub.session hub 0 in
+  Session.peer_reachable s ~peer:2 ~now:(ms 300);
+  Alcotest.check dl "earlier cohort wins" (Some (ms 300))
+    (Swarm.Lhub.next_deadline hub)
 
 let test_peers_subset_validated () =
   let spec = star_spec ~nodes:4 in
@@ -358,6 +627,18 @@ let test_duplicate_hellos () =
   Alcotest.(check (list int)) "hub-side ups" [ 1; 2 ]
     (List.sort_uniq compare !ups)
 
+(* the hub's running count of settled cohorts must agree with a fold of
+   [Session.all_peers_done] over the sessions it was built from (read
+   through the [mk_session] capture: [Hub.session] would touch them) *)
+let check_settled hub sessions =
+  let fold = List.length (List.filter Session.all_peers_done sessions) in
+  let count = Swarm.Lhub.settled_cohorts hub in
+  if count <> fold then
+    Alcotest.failf "settled cohorts: hub counts %d, sessions say %d" count
+      fold;
+  if Swarm.Lhub.all_clients_done hub <> (fold = List.length sessions) then
+    Alcotest.fail "all_clients_done disagrees with the sessions"
+
 (* churn mid-run: one client says bye and leaves; the hub must mark it
    down and keep serving the others *)
 let test_client_churn () =
@@ -365,11 +646,14 @@ let test_client_churn () =
   let fab = Loopback.fabric ~seed:9 ~delay_lo:(ms 5) ~delay_hi:(ms 5) () in
   let hub_ep = Loopback.endpoint fab ~id:0 () in
   let cfg0 = mk_cfg ~spec ~me:0 ~heartbeat:(Q.of_ints 1 2) in
+  let sessions = ref [] in
   let hub =
     match
       Swarm.Lhub.create ~net:hub_ep ~spec ~cohort_size:2
         ~mk_session:(fun ~idx:_ ~members ->
-          Ok (Session.create ~peers:members cfg0 ~now:Q.zero))
+          let s = Session.create ~peers:members cfg0 ~now:Q.zero in
+          sessions := s :: !sessions;
+          Ok s)
         ()
     with
     | Ok h -> h
@@ -391,7 +675,10 @@ let test_client_churn () =
   in
   let drivers =
     {
-      Loopback.poll = (fun () -> Swarm.Lhub.poll hub ~max_wait:Q.zero);
+      Loopback.poll =
+        (fun () ->
+          Swarm.Lhub.poll hub ~max_wait:Q.zero;
+          check_settled hub !sessions);
       next_vt = (fun () -> Swarm.Lhub.next_deadline hub);
       addr = Some 0;
     }
@@ -423,6 +710,67 @@ let test_client_churn () =
           Alcotest.failf "client %d unsound after churn" g
       end)
     cls
+
+(* every client leaves: the settled count climbs cohort by cohort to the
+   total, and [all_clients_done] flips exactly when the last one goes *)
+let test_all_clients_done () =
+  let spec = star_spec ~nodes:6 in
+  let fab = Loopback.fabric ~seed:4 ~delay_lo:(ms 3) ~delay_hi:(ms 9) () in
+  let hub_ep = Loopback.endpoint fab ~id:0 () in
+  let cfg0 = mk_cfg ~spec ~me:0 ~heartbeat:(Q.of_ints 1 2) in
+  let sessions = ref [] in
+  let hub =
+    match
+      Swarm.Lhub.create ~net:hub_ep ~spec ~cohort_size:2
+        ~mk_session:(fun ~idx:_ ~members ->
+          let s = Session.create ~peers:members cfg0 ~now:Q.zero in
+          sessions := s :: !sessions;
+          Ok s)
+        ()
+    with
+    | Ok h -> h
+    | Error m -> Alcotest.failf "create: %s" m
+  in
+  let cls =
+    List.init 5 (fun i ->
+        let g = i + 1 in
+        let ep = Loopback.endpoint fab ~id:g () in
+        let session =
+          Session.create
+            (mk_cfg ~spec ~me:g ~heartbeat:(Q.of_ints 1 2))
+            ~now:Q.zero
+        in
+        let loop = Loopback.L.create ~net:ep ~session () in
+        Loopback.L.learn loop ~peer:0 0;
+        (ep, session, loop))
+  in
+  let seen = ref [] in
+  let drivers =
+    {
+      Loopback.poll =
+        (fun () ->
+          Swarm.Lhub.poll hub ~max_wait:Q.zero;
+          check_settled hub !sessions;
+          let c = Swarm.Lhub.settled_cohorts hub in
+          if not (List.mem c !seen) then seen := c :: !seen);
+      next_vt = (fun () -> Swarm.Lhub.next_deadline hub);
+      addr = Some 0;
+    }
+    :: List.map (fun (_, _, loop) -> Loopback.driver_of_loop loop) cls
+  in
+  (* clients leave one at a time, a second apart *)
+  let script =
+    List.mapi
+      (fun i (ep, session, _) ->
+        ( Q.of_int (2 + i),
+          fun () -> Session.stop session ~now:(Loopback.Net.now ep) ))
+      cls
+  in
+  Loopback.run_drivers fab ~drivers ~until:(Q.of_int 8) ~script ();
+  Alcotest.(check bool) "all clients done" true
+    (Swarm.Lhub.all_clients_done hub);
+  Alcotest.(check (list int)) "settled counts seen" [ 0; 1; 2; 3 ]
+    (List.sort compare !seen)
 
 (* --- swarm ------------------------------------------------------------ *)
 
@@ -499,12 +847,16 @@ let () =
           Alcotest.test_case "hub == private pairs (fixed)" `Quick
             test_hub_equals_pairs;
           qt prop_hub_equals_pairs;
+          Alcotest.test_case "indexed hub == reference hub" `Quick
+            test_hub_matches_reference;
         ] );
       ( "sharding",
         [
           Alcotest.test_case "cohort partition" `Quick test_cohort_partition;
           Alcotest.test_case "peer subset validated" `Quick
             test_peers_subset_validated;
+          Alcotest.test_case "deadline sees a handed-out session" `Quick
+            test_deadline_sees_handed_out_session;
         ] );
       ( "batching",
         [
@@ -512,6 +864,7 @@ let () =
             test_coalescing_accounting;
           Alcotest.test_case "duplicate hellos" `Quick test_duplicate_hellos;
           Alcotest.test_case "client churn mid-run" `Quick test_client_churn;
+          Alcotest.test_case "all clients done" `Quick test_all_clients_done;
         ] );
       ( "swarm",
         [
